@@ -756,7 +756,6 @@ class _OfflineKernel(_Kernel):
         line_map_get = self.line_map.get
 
         # --- compressed BTB pass (independent of cache state) ---
-        # [fused:btb]
         if not cfg.perfect_btb:
             btb = pipeline.btb
             bsets = btb._sets
@@ -782,7 +781,6 @@ class _OfflineKernel(_Kernel):
             self.btb_accesses += hi - lo
             self.btb_misses += btb_misses
             stats.btb_misses += btb_misses
-        # [fused:/btb]
 
         # --- segment-local counters ---
         pw_partial_hits = 0

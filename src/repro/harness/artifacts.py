@@ -306,6 +306,69 @@ def profiling_geometry(
     ]
 
 
+def _hitstats_key(
+    app: str, input_name: str, trace_len: int, source: str, geometry: list
+) -> str:
+    return _digest(["hitstats", app, input_name, trace_len, source, geometry])
+
+
+def _hitstats_path(key: str) -> Path | None:
+    disk = _disk_cache_dir()
+    return disk / f"hitstats-{key}.json" if disk is not None else None
+
+
+def cached_hit_stats(
+    app: str, input_name: str, trace_len: int, *, source: str, geometry: list
+) -> HitStats | None:
+    """The hit-stats artifact from memory or disk; ``None`` on a miss.
+
+    A disk hit is promoted into the memory layer.  Callers must not
+    mutate the returned mapping.
+    """
+    key = _hitstats_key(app, input_name, trace_len, source, geometry)
+    cached = _hitstats_cache.get(key)
+    if cached is not None:
+        return cached
+    path = _hitstats_path(key)
+    if path is not None and path.exists():
+        raw = probe_json(path, "hitstats")
+        if raw is not None and "stats" in raw:
+            stats: HitStats = {
+                int(start): (int(pair[0]), int(pair[1]))
+                for start, pair in raw["stats"].items()
+            }
+            _hitstats_cache[key] = stats
+            return stats
+    return None
+
+
+def publish_hit_stats(
+    app: str,
+    input_name: str,
+    trace_len: int,
+    stats: HitStats,
+    *,
+    source: str,
+    geometry: list,
+) -> None:
+    """Store a profiling replay's hit stats in both cache layers.
+
+    Besides :func:`shared_hit_stats`, the batch engine publishes here
+    when a simulated arm (e.g. the FLACK arm of a sweep) already was
+    the profiling replay: same trace, policy and geometry, recorded
+    over the whole execution.
+    """
+    key = _hitstats_key(app, input_name, trace_len, source, geometry)
+    _hitstats_cache[key] = stats
+    path = _hitstats_path(key)
+    if path is not None:
+        _store_json(path, {
+            "app": app, "input": input_name, "trace_len": trace_len,
+            "source": source, "geometry": geometry,
+            "stats": {str(start): list(pair) for start, pair in stats.items()},
+        })
+
+
 def shared_hit_stats(
     app: str,
     input_name: str,
@@ -319,32 +382,18 @@ def shared_hit_stats(
 
     Callers must not mutate the returned mapping.
     """
-    key = _digest(["hitstats", app, input_name, trace_len, source, geometry])
-    cached = _hitstats_cache.get(key)
-    if cached is not None:
-        return cached
-    disk = _disk_cache_dir()
-    path = disk / f"hitstats-{key}.json" if disk is not None else None
-    if path is not None and path.exists():
-        raw = probe_json(path, "hitstats")
-        if raw is not None and "stats" in raw:
-            stats: HitStats = {
-                int(start): (int(pair[0]), int(pair[1]))
-                for start, pair in raw["stats"].items()
-            }
-            _hitstats_cache[key] = stats
-            return stats
-    from ..profiling.hitrate import collect_hit_stats
+    stats = cached_hit_stats(
+        app, input_name, trace_len, source=source, geometry=geometry
+    )
+    if stats is None:
+        from ..profiling.hitrate import collect_hit_stats
 
-    trace = get_trace(app, input_name, trace_len)
-    stats = collect_hit_stats(trace, config, source=source)
-    _hitstats_cache[key] = stats
-    if path is not None:
-        _store_json(path, {
-            "app": app, "input": input_name, "trace_len": trace_len,
-            "source": source, "geometry": geometry,
-            "stats": {str(start): list(pair) for start, pair in stats.items()},
-        })
+        trace = get_trace(app, input_name, trace_len)
+        stats = collect_hit_stats(trace, config, source=source)
+        publish_hit_stats(
+            app, input_name, trace_len, stats, source=source,
+            geometry=geometry,
+        )
     return stats
 
 

@@ -27,7 +27,11 @@ and advances all of their policy arms in one
 the per-arm kernels.  ``REPRO_SIM_FUSE=0`` disables it end-to-end;
 ineligible arms and failed groups reroute to the per-arm path with a
 ``sim_fallback:fused:<reason>`` counter, and served work is counted
-under ``sim_fused:*`` in the batch report.
+under ``sim_fused:*`` in the batch report.  A group that evaluates a
+profile-guided arm next to its profile source's arm (FURBYS or
+Thermometer next to FLACK) runs that source arm first with hit-rate
+recording on: its run *is* the profiling replay, so the consumers skip
+theirs (counted as ``note:profile_shared``).
 
 Within each worker the shared offline-artifact store
 (:mod:`repro.harness.artifacts`) collapses the per-policy offline work
@@ -95,9 +99,22 @@ from ..core.trace import Trace, TraceColumns, TraceMetadata, trace_fastpath_enab
 from ..errors import FaultInjectionError, ReproError, TraceError
 from ..frontend import simd_fused
 from . import resilience
+from ..offline.future import fast_path_enabled
+from ..profiling.hitrate import PROFILE_SOURCE_ARMS
+from .artifacts import cached_hit_stats, publish_hit_stats
 from .ledger import active_journal
 from .resilience import FaultReport, RetryPolicy
-from .runner import RunRequest, _memory_cache, cached_stats, run, store_stats
+from .runner import (
+    PROFILE_POLICIES,
+    RunRequest,
+    _build_policy_and_hints,
+    _canonical_profile_inputs,
+    _memory_cache,
+    _request_geometry,
+    cached_stats,
+    run,
+    store_stats,
+)
 
 #: (app, input, trace_len) -> (shm name, n_lookups, metadata fields).
 TraceDescriptors = dict[tuple[str, str, int], tuple[str, int, tuple]]
@@ -340,8 +357,98 @@ def _fused_group_key(request: RunRequest) -> tuple:
     )
 
 
+def _replay_arm(request: RunRequest) -> str | None:
+    """The arm whose run is ``request``'s profiling replay.
+
+    Only a profile-guided request that profiles the input it is
+    evaluated on has one: the arm that builds its profile source's
+    policy (:data:`~repro.profiling.hitrate.PROFILE_SOURCE_ARMS`).
+    """
+    if (request.policy in PROFILE_POLICIES
+            and _canonical_profile_inputs(request) == (request.input_name,)):
+        return PROFILE_SOURCE_ARMS.get(request.profile_source)
+    return None
+
+
+def _shared_replays(group) -> dict[str, tuple[str, list]]:
+    """Arms of ``group`` whose run doubles as a profiling replay.
+
+    Maps each such arm's policy name to the ``(source, geometry)`` of
+    the hit-stats artifact its run records, for artifacts not cached
+    yet.  Recording is whole-execution (warmup resets only the
+    counters), so the arm's run yields exactly what the standalone
+    ``warmup=0`` replay of the same policy would.
+    """
+    if not fast_path_enabled():
+        return {}
+    arms = {request.policy for _, request in group}
+    replays: dict[str, tuple[str, list]] = {}
+    for _, request in group:
+        arm = _replay_arm(request)
+        if arm not in arms or arm in replays:
+            continue
+        geometry = _request_geometry(request)
+        if cached_hit_stats(
+            request.app, request.input_name, request.resolved_trace_len(),
+            source=request.profile_source, geometry=geometry,
+        ) is None:
+            replays[arm] = (request.profile_source, geometry)
+    return replays
+
+
+def _phase_pipelines(phase, config, trace, replays):
+    """Build one phase's pipelines: ``(eligible, pipelines, ineligible)``.
+
+    Arms the kernels cannot run are counted as
+    ``sim_fallback:fused:<reason>`` and returned apart; the arms named
+    in ``replays`` record per-PW hit stats.
+    """
+    from ..frontend.pipeline import FrontendPipeline
+    from ..frontend.simd import fallback_reason
+
+    eligible, pipelines, ineligible = [], [], []
+    for key, request in phase:
+        policy, hints = _build_policy_and_hints(request, config, trace)
+        pipeline = FrontendPipeline(
+            config, policy, hints=hints,
+            classify_misses=request.classify_misses,
+            record_hit_rates=request.policy in replays,
+        )
+        reason = fallback_reason(pipeline)
+        if reason is None:
+            eligible.append((key, request))
+            pipelines.append(pipeline)
+        else:
+            resilience.note_fallback(f"sim_fallback:fused:{reason}")
+            ineligible.append((key, request))
+    return eligible, pipelines, ineligible
+
+
+def _publish_replays(eligible, pipelines, replays) -> None:
+    """Hand the recorded hit stats of ``replays`` arms to the artifact
+    store, each under the key its profile consumers look up."""
+    for (_, request), pipeline in zip(eligible, pipelines):
+        if request.policy not in replays:
+            continue
+        source, geometry = replays.pop(request.policy)
+        publish_hit_stats(
+            request.app, request.input_name, request.resolved_trace_len(),
+            {start: (hit, total)
+             for start, (hit, total) in pipeline.pw_hit_stats.items()},
+            source=source, geometry=geometry,
+        )
+        resilience.note_fallback("note:profile_shared")
+
+
 def _run_fused_group(group, results):
     """Try one geometry-uniform group fused; return the unserved pairs.
+
+    When the group holds a profile-guided arm together with the arm its
+    profile source builds (FURBYS or Thermometer next to FLACK), it runs
+    in two phases: first every arm that needs no profile, the source
+    arm recording per-PW hit stats into the shared artifact store, then
+    the profile consumers, whose policy builds now find that artifact
+    instead of replaying the trace (``note:profile_shared``).
 
     Never raises: any failure — an unsupported arm mix, an injected
     fault, a genuine simulation error — reroutes the whole group to the
@@ -352,10 +459,10 @@ def _run_fused_group(group, results):
     from ..frontend.simd import fallback_reason
     from ..policies import make_policy
     from ..workloads.registry import get_trace
-    from .runner import _build_policy_and_hints
 
     first = group[0][1]
     remaining = []
+    served: dict[str, SimulationStats] = {}
     try:
         config = first.build_config()
         trace = get_trace(
@@ -370,39 +477,44 @@ def _run_fused_group(group, results):
         if reason is not None:
             resilience.note_fallback(f"sim_fallback:fused:{reason}")
             return group
-        eligible = []
-        pipelines = []
-        for key, request in group:
-            policy, hints = _build_policy_and_hints(request, config, trace)
-            pipeline = FrontendPipeline(
-                config, policy, hints=hints,
-                classify_misses=request.classify_misses,
+        replays = _shared_replays(group)
+        phases = [
+            [pair for pair in group if _replay_arm(pair[1]) not in replays],
+            [pair for pair in group if _replay_arm(pair[1]) in replays],
+        ]
+        for index, phase in enumerate(phases):
+            eligible, pipelines, ineligible = _phase_pipelines(
+                phase, config, trace, replays
             )
-            arm_reason = fallback_reason(pipeline)
-            if arm_reason is None:
-                eligible.append((key, request))
-                pipelines.append(pipeline)
-            else:
-                resilience.note_fallback(f"sim_fallback:fused:{arm_reason}")
-                remaining.append((key, request))
-        if len(eligible) < 2:
-            return group
-        faultinject.maybe_fail_fused_group()
-        stats_list = simd_fused.run_group(
-            pipelines, trace, first.resolved_warmup()
-        )
+            remaining.extend(ineligible)
+            later = sum(len(rest) for rest in phases[index + 1:])
+            if not served and len(eligible) + later < 2:
+                return group
+            if eligible:
+                if not served:
+                    faultinject.maybe_fail_fused_group()
+                stats_list = simd_fused.run_group(
+                    pipelines, trace, first.resolved_warmup()
+                )
+                served.update(
+                    (key, stats)
+                    for (key, _), stats in zip(eligible, stats_list)
+                )
+                _publish_replays(eligible, pipelines, replays)
+            del pipelines  # free this phase's policy state before the next
     except simd_fused.FusedUnsupported as exc:
         resilience.note_fallback(f"sim_fallback:fused:{exc.reason}")
         return group
     except Exception:
         resilience.note_fallback("sim_fallback:fused:error")
         return group
-    for (key, request), stats in zip(eligible, stats_list):
-        store_stats(request, stats, key)
-        if results is not None:
-            results[key] = stats
+    for key, request in group:
+        if key in served:
+            store_stats(request, served[key], key)
+            if results is not None:
+                results[key] = served[key]
     resilience.note_fallback("sim_fused:groups")
-    resilience.note_fallback("sim_fused:served", len(eligible))
+    resilience.note_fallback("sim_fused:served", len(served))
     return remaining
 
 

@@ -106,7 +106,9 @@ def bar_chart(
 def format_batch_report(report) -> str:
     """Summary of a :class:`~repro.harness.parallel.BatchReport`.
 
-    One line for a clean batch; when any fault counter is non-zero a
+    One line for a clean batch, ending in the non-fault notes (e.g.
+    ``profile_shared=1``: a profiling replay the batch did not need to
+    run) when there are any; when any fault counter is non-zero a
     second line itemizes the taxonomy (crashed / timed-out / retried /
     skipped / corrupt artifacts / degraded fallbacks) so degradations
     are never silent.
@@ -127,6 +129,11 @@ def format_batch_report(report) -> str:
     faults = getattr(report, "faults", None)
     if faults is None:
         return line
+    if faults.notes:
+        line += " | notes: " + ", ".join(
+            f"{name.removeprefix('note:')}={count}"
+            for name, count in sorted(faults.notes.items())
+        )
     sim_fallbacks = getattr(faults, "sim_fallbacks", None) or {}
     if faults.total_faults == 0 and faults.retried == 0 and not sim_fallbacks:
         return line

@@ -144,7 +144,8 @@ class FaultReport:
     fused: dict = field(default_factory=dict)
     #: ``note:<what>`` -> count: observability notes that are not
     #: degradations (a legacy cache entry upgraded in place, a stale
-    #: RUNNING experiment taken over); excluded from :attr:`total_faults`.
+    #: RUNNING experiment taken over, a profiling replay shared with a
+    #: fused arm); excluded from :attr:`total_faults`.
     notes: dict = field(default_factory=dict)
     #: Itemized skipped/failed requests: ``{"request", "error", "attempts"}``.
     failures: list = field(default_factory=list)
@@ -203,6 +204,10 @@ class FaultReport:
 #   note:ledger_takeover
 #                   a stale RUNNING experiment was marked INTERRUPTED
 #                   and taken over by a resume
+#   note:profile_shared
+#                   a fused group's source arm (FLACK for FURBYS, by
+#                   default) recorded the profiling replay's hit stats,
+#                   so the profile consumers ran no replay of their own
 
 _counters: dict[str, int] = {}
 

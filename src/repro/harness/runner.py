@@ -160,12 +160,12 @@ def clear_memory_cache() -> None:
     the simd column-pass memos still held by live traces (the registry
     LRU keeps traces alive for callers holding references, so their
     ``_derived`` entries would otherwise survive a "cache clear") and
-    the compiled specialized-segment caches, fused drivers included.
+    the compiled specialized-segment caches.
     Each eviction is counted — ``repro trace inspect --cache-stats``
     reports the cumulative totals.
     """
     from ..core.trace import drop_simd_memos
-    from ..frontend import simd, simd_fused, simd_offline
+    from ..frontend import simd, simd_offline
 
     _memory_cache.clear()
     _profile_cache.clear()
@@ -175,7 +175,6 @@ def clear_memory_cache() -> None:
     drop_simd_memos()
     simd.clear_segment_cache()
     simd_offline.clear_segment_caches()
-    simd_fused.clear_fused_caches()
 
 
 # --- policy construction -----------------------------------------------------

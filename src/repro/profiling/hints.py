@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping
 
-from ..core.trace import Trace
+from ..core.trace import FLAG_CONTAINS, Trace
 from ..errors import ProfilingError
 from ..uopcache.cache import default_set_index
 from .jenks import jenks_breaks, jenks_group
@@ -34,8 +34,16 @@ def hintable_starts(trace: Trace) -> set[int]:
 
     "Most PWs end with a branch or contain at least a branch"
     (Section V-A); pure mid-block line fragments cannot be hinted and
-    default to the coldest group online.
+    default to the coldest group online.  A column-backed trace answers
+    from its packed columns without materializing lookup objects.
     """
+    if trace.has_columns():
+        columns = trace.columns
+        return {
+            start
+            for start, flags in zip(columns.starts, columns.flags)
+            if flags & FLAG_CONTAINS
+        }
     return {pw.start for pw in trace if pw.contains_branch}
 
 

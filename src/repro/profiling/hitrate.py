@@ -21,15 +21,25 @@ from ..policies.thermometer import COLD, HOT, WARM
 from ..uopcache.replacement import ReplacementPolicy
 from .jenks import jenks_breaks, jenks_group
 
+#: Offline decision source -> the evaluated policy arm (a
+#: ``RunRequest.policy`` name) that builds the same policy as
+#: :func:`make_profile_policy`.  A batch that simulates that arm on the
+#: training trace gets the profiling replay from the arm's own run.
+PROFILE_SOURCE_ARMS = {"flack": "flack", "belady": "belady", "foo": "foo-ohr"}
+
 #: Offline decision sources accepted by the profiling pipeline (Fig. 15
 #: compares them; FLACK is ~3-4% better than the alternatives).
-PROFILE_SOURCES = ("flack", "belady", "foo")
+PROFILE_SOURCES = tuple(PROFILE_SOURCE_ARMS)
 
 
 def make_profile_policy(
     source: str, trace: Trace, config: SimulationConfig
 ) -> ReplacementPolicy:
-    """Instantiate the offline policy used to generate profile decisions."""
+    """Instantiate the offline policy used to generate profile decisions.
+
+    Each source builds exactly what its :data:`PROFILE_SOURCE_ARMS` arm
+    builds (default FLACK features; FOO with the OHR objective).
+    """
     if source == "flack":
         return FLACKPolicy(trace, config.uop_cache)
     if source == "belady":

@@ -1,8 +1,11 @@
 """End-to-end FURBYS profiling (Figure 6, STEP 1-7).
 
-``profile_application`` runs the offline stages (2-6): record the
-lookup sequence, replay it under FLACK, compute whole-execution hit
-rates, group them with Jenks natural breaks, and emit the hint map.
+``profile_application`` runs the offline stages (2-6): replay the
+lookup sequence under FLACK, compute whole-execution hit rates, group
+them with Jenks natural breaks, and emit the hint map.  STEP 2's
+lookup sequence is the trace itself (see
+:func:`repro.profiling.ptrace.record_lookup_sequence`), so it is never
+copied out of the packed columns.
 ``make_furbys`` packages the result with a
 :class:`~repro.policies.furbys.FurbysPolicy` ready for the online
 deployment stage (7) through
@@ -19,7 +22,6 @@ from ..core.trace import Trace
 from ..policies.furbys import FurbysPolicy
 from .hints import HintMap, build_hints, merge_hints
 from .hitrate import collect_hit_stats
-from .ptrace import record_lookup_sequence
 
 
 @dataclass(slots=True)
@@ -87,7 +89,6 @@ def profile_application(
     ``hit_stats`` supplies an already-collected profiling replay (see
     :mod:`repro.harness.artifacts`), skipping STEP 3-5's simulation.
     """
-    record_lookup_sequence(trace)  # STEP 2 (identity here; see ptrace.py)
     if hit_stats is None:
         hit_stats = collect_hit_stats(trace, config, source=source)  # STEP 3-5
     hit_rates = {

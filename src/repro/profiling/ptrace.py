@@ -34,8 +34,9 @@ def record_lookup_sequence(trace: Trace) -> list[PWLookup]:
     With no capacity, every lookup misses, is accumulated, and fails to
     insert — so the insertion stream equals the lookup stream,
     independent of any replacement policy.  In this reproduction the
-    trace already *is* that sequence; the function exists so the
-    pipeline stages match Figure 6 one-for-one (and so tests can verify
-    the equivalence claim against an actual zero-capacity run).
+    trace already *is* that sequence, so the profiling pipeline reads
+    the trace directly; the function names STEP 2 of Figure 6 and lets
+    tests verify the equivalence claim against an actual zero-capacity
+    run.  It materializes every lookup object.
     """
     return list(trace.lookups)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.config import zen3_config
-from repro.core.trace import Trace
+from repro.core.trace import Trace, TraceColumns
 from repro.errors import ProfilingError
 from repro.frontend.pipeline import FrontendPipeline
 from repro.policies.furbys import FurbysPolicy
@@ -21,6 +21,7 @@ from repro.profiling import (
 )
 from repro.profiling.hints import hintable_starts, merge_hints
 from repro.profiling.hitrate import make_profile_policy
+from repro.workloads.registry import get_trace
 
 from .conftest import cyclic_trace, pw
 
@@ -80,6 +81,26 @@ class TestHints:
                    pw(0x3, branch=False, contains_branch=True)]
         assert hintable_starts(Trace(lookups)) == {0x1, 0x3}
 
+    def test_only_branchful_pws_hintable_columnar(self):
+        lookups = [pw(0x1, branch=True),
+                   pw(0x2, branch=False, contains_branch=False),
+                   pw(0x3, branch=False, contains_branch=True)]
+        columnar = Trace(columns=TraceColumns.from_lookups(lookups))
+        assert hintable_starts(columnar) == {0x1, 0x3}
+        assert columnar._lookups is None
+
+    @pytest.mark.parametrize("app,input_name", [
+        ("kafka", "default"), ("clang", "alt-seed"),
+        ("python", "mixed-load"), ("wordpress", "long-phase"),
+    ])
+    def test_columnar_hintable_starts_match_object_path(self, app,
+                                                        input_name):
+        columns = get_trace(app, input_name, 4000).columns
+        columnar = Trace(columns=columns)
+        objects = Trace(columns.materialize())
+        assert hintable_starts(columnar) == hintable_starts(objects)
+        assert columnar._lookups is None
+
     def test_hint_values_fit_bit_width(self, trace, config):
         rates = collect_hit_rates(trace, config)
         for bits in (1, 3, 4):
@@ -107,6 +128,26 @@ class TestHints:
 
 
 class TestEndToEnd:
+    def test_shared_profile_keeps_trace_columnar(self):
+        from repro.harness.artifacts import profiling_geometry, shared_profile
+        from repro.harness.runner import clear_memory_cache
+
+        clear_memory_cache()
+        trace = get_trace("kafka", "default", 3000)
+        assert trace._lookups is None
+        profile = shared_profile(
+            "kafka", "default", 3000, zen3_config(), source="flack",
+            n_bits=3, scope="per_set",
+            geometry=profiling_geometry(
+                "zen3", cache_entries=None, cache_ways=None,
+                insertion_delay=None, inclusive=True, keep_larger=True,
+                perfect=(),
+            ),
+        )
+        assert profile.hints
+        assert trace._lookups is None
+        clear_memory_cache()
+
     def test_profile_application_produces_profile(self, trace, config):
         profile = profile_application(trace, config)
         assert profile.hints
